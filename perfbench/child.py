@@ -25,6 +25,9 @@ import sys
 import time
 import traceback
 
+from tracer import Tracer, instrument, layer_metrics
+from workloads import NUM_CAPABLE, NUM_STRAGGLERS, get_workload
+
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
 
@@ -118,8 +121,8 @@ def build(workload, seed):
 
     setting = ExperimentSetting(
         dataset=workload.dataset, model=DATASET_MODEL[workload.dataset],
-        num_capable=workload.num_capable,
-        num_stragglers=workload.num_stragglers, partition="iid", seed=seed)
+        num_capable=NUM_CAPABLE, num_stragglers=NUM_STRAGGLERS,
+        partition="iid", seed=seed)
     scale = ExperimentScale(**dict(workload.scale))
     factory, num_cycles = make_simulation_factory(setting, scale)
     sim = factory()
@@ -129,10 +132,10 @@ def build(workload, seed):
                                      aggregation=workload.aggregation))
     if workload.strategy == "helios":
         strategy = HeliosStrategy(HeliosConfig(
-            straggler_top_k=workload.num_stragglers, seed=seed))
+            straggler_top_k=NUM_STRAGGLERS, seed=seed))
     else:
         strategy = SynchronousFLStrategy(
-            straggler_top_k=workload.num_stragglers, seed=seed)
+            straggler_top_k=NUM_STRAGGLERS, seed=seed)
     return sim, strategy, num_cycles, scale.eval_every
 
 
@@ -162,9 +165,6 @@ def main(argv=None):
     t0 = args.t0 if args.t0 is not None else time.monotonic()
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from tracer import Tracer, instrument, layer_metrics
-    from workloads import get_workload
-
     workload = get_workload(args.workload)
     if args.oracle:
         workload = workload.oracle()

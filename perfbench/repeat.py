@@ -2,9 +2,9 @@
 
 Usage, from the root of the repository::
 
-    python3 perfbench/repeat.py --seeds 1-10 [--workloads a,b] \
-        [--out .bench_out/repeat.json]
+    python3 perfbench/repeat.py --seeds 1-10 [--out .bench_out/repeat.json]
 
+Runs every workload on each seed for ``BENCHMARK.json``'s ``run_seconds``.
 For every workload and end-to-end metric this prints the median of the
 runs, the distance between their first and third quartiles as a share of
 the median (``statistics.quantiles(values, n=4)``), and whether that
@@ -21,8 +21,8 @@ import statistics
 import subprocess
 import sys
 
-from layers import END_TO_END
 from run import BENCH_DIR, ROOT
+from spec import load_spec
 from workloads import WORKLOADS
 
 
@@ -33,15 +33,11 @@ def parse_seeds(text):
     return [int(seed) for seed in text.split(",")]
 
 
-def run_seconds():
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        return json.load(handle)["run_seconds"]
-
-
-def run_once(workload, seed, seconds, extra=()):
+def run_once(workload, seed, extra=()):
     command = [sys.executable, os.path.join(BENCH_DIR, "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0", *extra]
+               "--seconds", str(load_spec()["run_seconds"]), "--trace", "0",
+               *extra]
     out = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
                          text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -56,10 +52,11 @@ def summarize(results):
     """Per workload and metric: (median, spread, bound)."""
     table = {}
     for workload, runs in results.items():
-        for metric in END_TO_END:
-            values = [r["metrics"][metric.name]["value"] for r in runs]
+        for metric in load_spec()["end_to_end"]:
+            values = [r["metrics"][metric["name"]]["value"] for r in runs]
             median, share = spread(values)
-            table[(workload, metric.name)] = (median, share, metric.bound)
+            table[(workload, metric["name"])] = (median, share,
+                                                 metric["bound"])
     return table
 
 
@@ -80,15 +77,13 @@ def print_spreads(results):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=run_seconds())
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     results = {}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         results[workload] = []
         for seed in parse_seeds(args.seeds):
-            result = run_once(workload, seed, args.seconds)
+            result = run_once(workload, seed)
             if not result["correct"]:
                 print(f"{workload} seed {seed}: output check failed",
                       file=sys.stderr)

@@ -7,11 +7,12 @@ Usage, from the root of the repository::
 
 A run starts several fresh interpreters (``child.py``), each of which
 sets the workload up from the seed and runs every cycle, and checks that
-each run's history equals the serial oracle's.  With ``--trace 0`` the
-last line of standard output holds the end-to-end metrics; with
-``--trace 1`` it holds the per-layer metrics of a traced run, whose spans
-are written under ``.bench_out/trace/``.  The line before it records the
-environment, the checks and which layers were not measured.
+each run's history equals the serial oracle's history for that seed, as
+``pinned.json`` records it.  With ``--trace 0`` the last line of standard
+output holds the end-to-end metrics; with ``--trace 1`` it holds the
+per-layer metrics of a traced run, whose spans are written under
+``.bench_out/trace/``.  The line before it records the environment, the
+checks and which layers were not measured.
 
 The program's source must be under ``src/`` next to this directory; the
 benchmark exits with code 2 and prints no result when it is missing.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -31,31 +33,24 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
 sys.path.insert(0, BENCH_DIR)
 
-from layers import END_TO_END, PER_LAYER, WORKER_SIDE  # noqa: E402
-from workloads import WORKLOADS, get_workload  # noqa: E402
+from spec import load_spec, worker_side  # noqa: E402
+from workloads import WORKLOADS, get_workload, input_seed  # noqa: E402
 
 #: A run must end within this many seconds of its start.
 RUN_DEADLINE_S = 170.0
-#: The seed whose oracle histories ``pinned.json`` records.
-DEFAULT_SEED = 0
+#: Off the recording environment, a final-cycle float may differ from the
+#: pinned one by this share (accuracy: by this much, absolute), because
+#: other BLAS kernels round differently.
+RELATIVE_TOLERANCE = 1e-4
+ACCURACY_TOLERANCE = 0.02
 
 
 class BenchmarkError(RuntimeError):
     """The benchmark itself cannot run (not a failure of the program)."""
 
 
-def check_benchmark_json() -> None:
-    """``BENCHMARK.json`` must list exactly the metrics defined here."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        spec = json.load(handle)
-    for key, metrics in (("end_to_end", END_TO_END),
-                         ("per_layer", PER_LAYER)):
-        listed = [(m["name"], m["unit"], m["better"], m.get("bound", 0.0))
-                  for m in spec[key]]
-        defined = [(m.name, m.unit, m.better, m.bound) for m in metrics]
-        if listed != defined:
-            raise BenchmarkError(f"BENCHMARK.json {key} disagrees with "
-                                 f"perfbench/layers.py")
+def check_benchmark_json(spec) -> None:
+    """``BENCHMARK.json`` must list exactly the workloads defined here."""
     if sorted(w["name"] for w in spec["workloads"]) != sorted(WORKLOADS):
         raise BenchmarkError("BENCHMARK.json workloads disagree with "
                              "perfbench/workloads.py")
@@ -106,6 +101,59 @@ def environment_key(env):
     """What the pinned digests depend on besides the program."""
     return {"numpy": env["numpy"], "blas": env["blas"],
             "cpu": env.get("cpu")}
+
+
+def close_to_pinned(final, pinned_final):
+    """Whether a final history row matches the pinned one within rounding.
+
+    Rows are ``history_rows`` rows: cycle, simulated time, accuracy, train
+    loss, participants, straggler fraction, extras, dropped clients.
+    """
+    if (final[0], final[4], final[7]) != (pinned_final[0], pinned_final[4],
+                                          pinned_final[7]):
+        return False
+    floats = [(final[i], pinned_final[i], RELATIVE_TOLERANCE, 0.0)
+              for i in (1, 3, 5)]
+    floats.append((final[2], pinned_final[2], 0.0, ACCURACY_TOLERANCE))
+    if [key for key, _ in final[6]] != [key for key, _ in pinned_final[6]]:
+        return False
+    floats += [(mine, pinned, RELATIVE_TOLERANCE, 0.0)
+               for (_, mine), (_, pinned) in zip(final[6], pinned_final[6])]
+    return all(math.isclose(float.fromhex(mine), float.fromhex(pinned),
+                            rel_tol=rel, abs_tol=absolute)
+               for mine, pinned, rel, absolute in floats)
+
+
+def check_outputs(workload, seed, results, env):
+    """Which results are correct, and a summary of the check.
+
+    A result is correct when it raised nothing and its history equals the
+    serial oracle's for the seed: the pinned digest exactly where numpy,
+    OpenBLAS and the CPU match the recording, and elsewhere the pinned
+    final cycle within rounding, with every interpreter of the run agreeing.
+    """
+    pinned = load_pinned()
+    entry = pinned["tasks"][workload.task].get(str(seed))
+    if entry is None:
+        raise BenchmarkError(f"pinned.json has no oracle for "
+                             f"{workload.task} seed {seed}; run pin.py")
+    exact = pinned["environment"] == environment_key(env)
+    finished = [r for r in results if r["error"] is None]
+    agreed = finished[0]["digest"] if finished else None
+
+    def correct(result):
+        if result["error"] is not None:
+            return False
+        if exact:
+            return result["digest"] == entry["digest"]
+        return (result["digest"] == agreed
+                and close_to_pinned(result["final"], entry["final"]))
+    verdicts = [correct(r) for r in results]
+    summary = {"pinned": "exact digest" if exact
+               else "final cycle within rounding (other environment)",
+               "input_seed": seed, "mismatches": verdicts.count(False),
+               "errors": [r["error"] for r in results if r["error"]]}
+    return verdicts, summary
 
 
 def tail(values, beyond=10):
@@ -165,9 +213,11 @@ def run(args):
     if not os.path.isfile(os.path.join(ROOT, "src", "repro",
                                        "__init__.py")):
         raise BenchmarkError("the program's source (src/repro) is missing")
-    check_benchmark_json()
+    spec = load_spec()
+    check_benchmark_json(spec)
     workload = get_workload(args.workload)
-    count = workload.children(args.seconds)
+    seed = input_seed(args.seed)
+    count = workload.children(args.seconds or spec["run_seconds"])
     plan = [False] * count
     if args.trace:
         # Untraced and traced children alternate, at least two of each:
@@ -179,63 +229,47 @@ def run(args):
         return os.path.join(trace_dir, f"{workload.name}-seed{args.seed}"
                                        f"-{label}.jsonl")
 
+    # A traced run of a resident workload also times the serial client
+    # training of the same task, for ``executor.parallel_speedup``.
     oracle = None
-    if workload.resident:
-        oracle = run_child(workload, args.seed, deadline, oracle=True,
-                           traced=bool(args.trace),
-                           trace_out=trace_out("oracle"))
-    children = []
-    for index, traced in enumerate(plan):
-        children.append(run_child(
-            workload, args.seed, deadline, traced=traced,
-            trace_out=trace_out(f"child{index}"),
-            delay_aggregate_ms=args.delay_aggregate_ms))
+    if args.trace and workload.resident:
+        oracle = run_child(workload, seed, deadline, oracle=True,
+                           traced=True, trace_out=trace_out("oracle"))
+    children = [run_child(workload, seed, deadline, traced=traced,
+                          trace_out=trace_out(f"child{index}"),
+                          delay_aggregate_ms=args.delay_aggregate_ms)
+                for index, traced in enumerate(plan)]
 
-    # Output check: every history must equal the serial oracle's.
-    reference = oracle if oracle is not None else next(
-        (r for r in children if r["error"] is None), None)
     env = children[0]["env"]
-    checks = {"oracle_error": (oracle or {}).get("error"), "pinned": None}
-    reference_ok = reference is not None and reference["error"] is None
-    pinned = load_pinned().get(workload.task, {})
-    if reference_ok and args.seed == DEFAULT_SEED and pinned:
-        if pinned["environment"] != environment_key(env):
-            checks["pinned"] = "not applicable: different environment"
-        elif pinned["digest"] != reference["digest"]:
-            checks["pinned"] = "mismatch"
-            reference_ok = False
-        else:
-            checks["pinned"] = "match"
-    attempted = sum(r["trainings"] for r in children)
-    failed = sum(r["trainings"] for r in children
-                 if not reference_ok or r["error"] is not None
-                 or r["digest"] != reference["digest"])
-    checks["errors"] = [r["error"] for r in children if r["error"]]
+    checked = children + ([oracle] if oracle else [])
+    verdicts, checks = check_outputs(workload, seed, checked, env)
+    attempted = sum(r["trainings"] for r in checked)
+    failed = sum(r["trainings"] for r, ok in zip(checked, verdicts)
+                 if not ok)
 
     timed = [r for r in children if not r["traced"] and r["error"] is None]
     traced = [r for r in children if r["traced"] and r["error"] is None]
     info = {"workload": workload.name, "seed": args.seed,
-            "children": len(children), "env": env, "checks": checks,
-            "reference_digest": reference["digest"] if reference_ok
-            else None}
+            "children": len(children), "env": env, "checks": checks}
     if args.trace and timed and traced and (oracle is None
                                             or oracle["error"] is None):
         values = layer_figures(workload, timed, traced,
                                [oracle] if oracle else None)
-        info["not_measured_worker_side"] = (list(WORKER_SIDE)
+        info["not_measured_worker_side"] = (worker_side(spec)
                                             if workload.resident else [])
         info["trace_files"] = sorted(
             name for name in os.listdir(trace_dir)
             if name.startswith(f"{workload.name}-seed{args.seed}-"))
-        metrics = {m.name: {"value": values[m.name], "unit": m.unit}
-                   for m in PER_LAYER}
+        metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+                   for m in spec["per_layer"]}
     elif not args.trace and timed:
         values, info["timing"] = timing_metrics(timed)
-        metrics = {m.name: {"value": values[m.name], "unit": m.unit}
-                   for m in END_TO_END}
+        metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+                   for m in spec["end_to_end"]}
     else:
-        metrics = {m.name: {"value": 0.0, "unit": m.unit}
-                   for m in (PER_LAYER if args.trace else END_TO_END)}
+        metrics = {m["name"]: {"value": 0.0, "unit": m["unit"]}
+                   for m in spec["per_layer" if args.trace
+                                 else "end_to_end"]}
     info["wall_s"] = time.monotonic() - start
     print(json.dumps({"benchmark_info": info}))
     print(json.dumps({"correct": failed == 0, "attempted": attempted,
@@ -245,8 +279,9 @@ def run(args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--delay-aggregate-ms", type=float, default=0.0,
                         help="sensitivity check: sleep this long before "

@@ -2,17 +2,19 @@
 
 Usage, from the root of the repository::
 
-    python3 perfbench/selfcheck.py --seeds 1-10 [--out .bench_out/selfcheck.json]
+    python3 perfbench/selfcheck.py --seeds 1-10 \
+        [--out .bench_out/selfcheck.json]
 
 For every workload and seed this makes a pair of runs, alternating which
-side runs first: a plain run and a copy run.  The copy of the target
-workload (``helios-lenet-serial`` by default) sleeps before every
-``FLServer.aggregate``; the copies of the other workloads are plain
-re-runs.  The sleep is ``--factor`` times the ``cycle_ms_p50`` bound, as
-a share of the target's median cycle in a first plain run.  A metric is
-flagged when the copies' median is worse than the plain runs' median by
-more than the metric's bound, the rule a change is judged by.  The check
-passes when exactly ``cycle_ms_p50`` on the target is flagged.
+side runs first: a plain run and a copy run.  The copy of ``TARGET``
+sleeps before every ``FLServer.aggregate``; the copies of the other
+workloads are plain re-runs.  The delay is ``FACTOR`` times the
+``cycle_ms_p50`` bound, as a share of the target's median cycle: the
+median ``cycle_ms_p50`` of ``CALIBRATION_RUNS`` plain runs made first.
+A metric is flagged when the copies' median is worse than the plain
+runs' median by more than the metric's bound, the rule a change is
+judged by.  The check passes when exactly ``cycle_ms_p50`` on the target
+is flagged.
 
 The plain runs are also the steadiness proof: the quartile spread of each
 metric is printed as ``repeat.py`` prints it.
@@ -26,17 +28,23 @@ import os
 import statistics
 import sys
 
-from layers import END_TO_END
-from repeat import parse_seeds, print_spreads, run_once, run_seconds
+from repeat import parse_seeds, print_spreads, run_once
+from spec import load_spec
 from workloads import WORKLOADS
 
-BOUNDS = {metric.name: metric for metric in END_TO_END}
+#: The workload whose copy is delayed, and the delay as a multiple of the
+#: ``cycle_ms_p50`` bound.
+TARGET = "helios-lenet-serial"
+FACTOR = 1.18
+#: Plain runs of the target, on the first seeds, that size the delay; a
+#: single run can fall in one of the host's slow or fast phases.
+CALIBRATION_RUNS = 3
 
 
 def worsening(metric, base, copy):
     """How much worse ``copy`` is than ``base``, as a share of ``base``."""
     change = (copy - base) / base
-    return change if metric.better == "lower" else -change
+    return change if metric["better"] == "lower" else -change
 
 
 def median(runs, name):
@@ -46,17 +54,17 @@ def median(runs, name):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--target", default="helios-lenet-serial")
-    parser.add_argument("--factor", type=float, default=1.18)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    seconds = run_seconds()
     seeds = parse_seeds(args.seeds)
+    bounds = {metric["name"]: metric
+              for metric in load_spec()["end_to_end"]}
 
-    first = run_once(args.target, seeds[0], seconds)
-    p50 = first["metrics"]["cycle_ms_p50"]["value"]
-    delay_ms = args.factor * BOUNDS["cycle_ms_p50"].bound * p50
-    print(f"delay {delay_ms:.2f} ms per aggregate on {args.target} "
+    p50 = statistics.median(
+        run_once(TARGET, seed)["metrics"]["cycle_ms_p50"]["value"]
+        for seed in seeds[:CALIBRATION_RUNS])
+    delay_ms = FACTOR * bounds["cycle_ms_p50"]["bound"] * p50
+    print(f"delay {delay_ms:.2f} ms per aggregate on {TARGET} "
           f"(its cycle_ms_p50 was {p50:.2f} ms)", flush=True)
 
     plain = {workload: [] for workload in WORKLOADS}
@@ -64,15 +72,12 @@ def main(argv=None):
     for position, seed in enumerate(seeds):
         for workload in WORKLOADS:
             extra = (("--delay-aggregate-ms", f"{delay_ms:.3f}")
-                     if workload == args.target else ())
+                     if workload == TARGET else ())
             sides = [("plain", ()), ("copy", extra)]
             if position % 2:
                 sides.reverse()
             for side, side_extra in sides:
-                if (side, workload, position) == ("plain", args.target, 0):
-                    result = first
-                else:
-                    result = run_once(workload, seed, seconds, side_extra)
+                result = run_once(workload, seed, side_extra)
                 (plain if side == "plain" else copy)[workload].append(
                     result)
                 print(side, workload, seed, json.dumps(
@@ -95,15 +100,16 @@ def main(argv=None):
                  for workload, runs in side.items()
                  for run in runs if not run["correct"]]
     for workload in WORKLOADS:
-        for name, metric in BOUNDS.items():
+        for name, metric in bounds.items():
             share = worsening(metric, median(plain[workload], name),
                               median(copy[workload], name))
-            hit = share > metric.bound
+            hit = share > metric["bound"]
             if hit:
                 flagged.append((workload, name))
+            mark = "  FLAGGED" if hit else ""
             print(f"{workload:26s} {name:14s} copy worse by {share:+8.2%} "
-                  f"(bound {metric.bound:4.0%}){'  FLAGGED' if hit else ''}")
-    expected = [(args.target, "cycle_ms_p50")]
+                  f"(bound {metric['bound']:4.0%}){mark}")
+    expected = [(TARGET, "cycle_ms_p50")]
     print("flagged:", flagged, "expected:", expected,
           "runs failing the output check:", incorrect)
     return 0 if flagged == expected and not incorrect else 1

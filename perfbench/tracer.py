@@ -30,9 +30,7 @@ NAME, START, END, PARENT, CYCLE, OUTER = range(6)
 class Tracer:
     """Spans and counters of one process, recorded only while enabled."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter
-                 ) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self.enabled = False
         self.spans: List[list] = []
         self.counters: Dict[str, float] = defaultdict(float)
@@ -48,18 +46,19 @@ class Tracer:
         self.enabled = False
 
     def _open_root(self, cycle: int) -> int:
-        self.spans.append(["cycle", self.clock(), None, None, cycle, True])
+        self.spans.append(["cycle", time.perf_counter(), None, None, cycle,
+                           True])
         return len(self.spans) - 1
 
     def start_cycle(self, cycle: int) -> None:
         """Close the current root span and open cycle ``cycle``'s."""
-        now = self.clock()
+        now = time.perf_counter()
         self.spans[self._root][END] = now
         self.cycle = cycle
         self._root = self._open_root(cycle)
 
     def finish(self) -> None:
-        self.spans[self._root][END] = self.clock()
+        self.spans[self._root][END] = time.perf_counter()
 
     def begin(self, name: str) -> int:
         parent = self._stack[-1] if self._stack else self._root
@@ -67,15 +66,15 @@ class Tracer:
         # durations of outer spans never counts a nested call twice.
         outer = self._active[name] == 0
         self._active[name] += 1
-        self.spans.append([name, self.clock(), None, parent, self.cycle,
-                           outer])
+        self.spans.append([name, time.perf_counter(), None, parent,
+                           self.cycle, outer])
         span_id = len(self.spans) - 1
         self._stack.append(span_id)
         return span_id
 
     def end(self, span_id: int) -> None:
         span = self.spans[span_id]
-        span[END] = self.clock()
+        span[END] = time.perf_counter()
         self._active[span[NAME]] -= 1
         self._stack.pop()
 

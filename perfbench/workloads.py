@@ -5,7 +5,7 @@ panel, built through the public experiment API
 (:func:`repro.experiments.common.make_simulation_factory`,
 :func:`repro.fl.make_backend`, :meth:`FederatedSimulation.run`).  They
 differ in strategy, model and execution backend, so that each stresses a
-different layer (see ``layers.py`` for which metric each should move).
+different layer (README.md says which metric each should move).
 
 This module imports nothing from ``repro``: the parent process of a run
 only needs the workload table, and the program is imported in the child
@@ -17,12 +17,27 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-__all__ = ["Workload", "WORKLOADS", "get_workload"]
+__all__ = ["Workload", "WORKLOADS", "get_workload", "input_seed",
+           "NUM_CAPABLE", "NUM_STRAGGLERS", "INPUT_SEEDS"]
+
+#: The fleet of Fig. 5's larger panel.
+NUM_CAPABLE = 3
+NUM_STRAGGLERS = 3
+
+#: Distinct inputs per workload.  Benchmark seed ``n`` builds the inputs
+#: of seed ``n % INPUT_SEEDS``, so that ``pinned.json`` holds the serial
+#: oracle's history for every seed a run can be given.
+INPUT_SEEDS = 16
+
+
+def input_seed(seed: int) -> int:
+    """The seed the workload's inputs are built from."""
+    return seed % INPUT_SEEDS
 
 
 @dataclass(frozen=True)
 class Workload:
-    """One benchmark workload.
+    """One benchmark workload of ``NUM_CAPABLE`` + ``NUM_STRAGGLERS`` devices.
 
     ``scale`` holds the fields of :class:`repro.experiments.common.
     ExperimentScale`; ``make_simulation_factory`` still applies the
@@ -40,8 +55,6 @@ class Workload:
     aggregation: Optional[str]     # None (flat) or "hierarchical"
     scale: Tuple[Tuple[str, object], ...]
     child_seconds: float
-    num_capable: int = 3
-    num_stragglers: int = 3
 
     @property
     def resident(self) -> bool:
@@ -70,7 +83,7 @@ class Workload:
 # training set and test set per cycle, so that a run holds many cycles.
 _LENET_SCALE = (("name", "bench-lenet"), ("num_train", 600),
                 ("num_test", 150), ("width_multiplier", 0.4),
-                ("num_cycles", 8), ("batch_size", 32),
+                ("num_cycles", 12), ("batch_size", 32),
                 ("learning_rate", 0.05), ("local_epochs", 1),
                 ("workload_scale", 40.0), ("eval_every", 1))
 
@@ -84,13 +97,13 @@ _RESNET_SCALE = (("name", "bench-resnet"), ("num_train", 240),
 
 WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
     Workload("helios-lenet-serial", "helios", "mnist", "serial", None, None,
-             _LENET_SCALE, child_seconds=3.5),
+             _LENET_SCALE, child_seconds=4.2),
     Workload("helios-lenet-persistent", "helios", "mnist", "persistent", 2,
-             None, _LENET_SCALE, child_seconds=6.0),
+             None, _LENET_SCALE, child_seconds=7.7),
     Workload("syncfl-resnet-serial", "syncfl", "cifar100", "serial", None,
-             None, _RESNET_SCALE, child_seconds=10.5),
+             None, _RESNET_SCALE, child_seconds=9.5),
     Workload("syncfl-lenet-sharded", "syncfl", "mnist", "sharded", 2,
-             "hierarchical", _LENET_SCALE, child_seconds=7.0),
+             "hierarchical", _LENET_SCALE, child_seconds=9.0),
 )}
 
 
