@@ -11,19 +11,15 @@ Besides the pytest-benchmark timings, ``test_substrate_report_json``
 writes a machine-readable ``benchmarks/results/BENCH_substrate.json``
 with per-backend cycle times and dispatch payload bytes, and asserts the
 persistent backend's core scaling property: warm dispatch is O(weights),
-independent of dataset size, and strictly smaller than the process
-backend's whole-client pickling.  Its ``virtual_fleets`` section sweeps
-logical fleet sizes through ``run_virtual_cycle`` on a 2-shard fleet and
-asserts the hierarchical-aggregation claim: upstream bytes independent
-of the fleet size and >=10x below flat at 10^3 clients/shard.  The
+independent of dataset size, and strictly smaller than the cold
+dispatch that ships every client's spec.  Its ``virtual_fleets``
+section sweeps logical fleet sizes through ``run_virtual_cycle`` on a
+2-shard fleet and asserts the hierarchical-aggregation claim: upstream
+bytes independent of the fleet size and >=10x below flat at 10^3
+clients/shard.  The
 ``transport`` section records median ping round-trips against a live
 shard server with TCP_NODELAY on (the default) and off, so the Nagle
-before/after is visible in the report.  The
-``arena`` and ``fusion`` sections (also written standalone by
-``test_arena_fusion_report_json`` as ``BENCH_arena_fusion.json`` for the
-CI smoke artifact) assert the shared-memory dispatch claim (cold pipe
-bytes >=10x smaller with descriptor frames) and the stacked-fusion claim
-(>=2x clients/sec over the per-client loop, bit-identically).
+before/after is visible in the report.
 """
 
 import json
@@ -303,10 +299,6 @@ def test_bench_cycle_thread_backend(benchmark):
     _bench_backend_cycle(benchmark, "thread")
 
 
-def test_bench_cycle_process_backend(benchmark):
-    _bench_backend_cycle(benchmark, "process")
-
-
 def test_bench_cycle_persistent_backend(benchmark):
     _bench_backend_cycle(benchmark, "persistent")
 
@@ -338,14 +330,12 @@ def test_parallel_backends_beat_serial_cycle():
     """Measured speedup: pooled backends overlap a latency-bound cycle."""
     serial_s = _timed_cycle("serial")
     thread_s = _timed_cycle("thread")
-    process_s = _timed_cycle("process")
     persistent_s = _timed_cycle("persistent")
     sharded_s = _timed_cycle("sharded")
     print(f"\nmulti-client cycle ({_NUM_LATENCY_CLIENTS} clients, "
           f"{_CLIENT_LATENCY_S * 1000:.0f} ms latency each): "
           f"serial {serial_s * 1000:.1f} ms, "
           f"thread {thread_s * 1000:.1f} ms ({serial_s / thread_s:.2f}x), "
-          f"process {process_s * 1000:.1f} ms ({serial_s / process_s:.2f}x), "
           f"persistent {persistent_s * 1000:.1f} ms "
           f"({serial_s / persistent_s:.2f}x), "
           f"sharded {sharded_s * 1000:.1f} ms "
@@ -354,7 +344,6 @@ def test_parallel_backends_beat_serial_cycle():
     # pooled backends overlap them.  Require a conservative 1.5x so the
     # assertion stays robust on loaded CI machines.
     assert serial_s > 1.5 * thread_s
-    assert serial_s > 1.5 * process_s
     assert serial_s > 1.5 * persistent_s
     assert serial_s > 1.5 * sharded_s
 
@@ -406,10 +395,8 @@ def _dispatch_payloads(samples_per_client, codec_name,
     Measures the ``persistent`` pipe backend under one codec
     configuration, optionally a 2-shard ``sharded`` socket fleet (the
     wire bytes a multi-host deployment would put on the network each
-    cycle — byte-identical to the pipe payload by design) and the
-    whole-client-pickling ``process`` baseline.
+    cycle — byte-identical to the pipe payload by design).
     """
-    from repro.fl import ProcessPoolBackend
     from repro.fl.executor import TrainingJob
 
     config = _CODEC_CONFIGS[codec_name]
@@ -422,12 +409,9 @@ def _dispatch_payloads(samples_per_client, codec_name,
         cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
         sim.run_jobs(jobs)  # ships the specs; replicas become resident
         warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-        process = ProcessPoolBackend().dispatch_payload_bytes(sim.clients,
-                                                              jobs)
     finally:
         sim.close()
-    payloads = {"persistent_cold": cold, "persistent_warm": warm,
-                "process": process}
+    payloads = {"persistent_cold": cold, "persistent_warm": warm}
     if not include_sharded:
         return payloads
 
@@ -474,166 +458,6 @@ def _evolving_cycle_bytes(codec_name):
         return sim.backend.dispatch_payload_bytes(sim.clients, next_jobs)
     finally:
         sim.close()
-
-
-# --------------------------------------------------------------------- #
-# shared-memory weight arenas: cold-dispatch bytes on the pipe
-# --------------------------------------------------------------------- #
-
-def _arena_sweep_report(samples_per_client=200):
-    """Measure and assert the weight-arena claim: cold dispatch on the
-    persistent backend's pipes shrinks >=10x when large segments travel
-    as shared-memory descriptors instead of inline bytes.
-
-    Uses the ``full`` codec configuration (delta off) on the ``large``
-    profile so the cold frames carry the whole weight snapshot — the
-    worst case the arena exists for.  Also records the publish cost
-    (one memcpy into ``/dev/shm`` per generation) from a real cycle.
-    """
-    from repro.fl.executor import TrainingJob
-
-    def cold_dispatch(**kwargs):
-        sim = _payload_fleet(samples_per_client)
-        sim.set_backend("persistent", max_workers=2,
-                        **_CODEC_CONFIGS["full"], **kwargs)
-        weights = sim.server.get_global_weights()
-        jobs = [TrainingJob(index=index, weights=weights)
-                for index in sim.client_indices()]
-        try:
-            cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-            sim.run_jobs(jobs)  # a real cold cycle -> publish stats
-            arena = sim.backend._arena
-            publish = (None if arena is None else
-                       {"seconds": arena.last_publish_seconds,
-                        "bytes": arena.last_publish_bytes})
-        finally:
-            sim.close()
-        return cold, publish
-
-    plain_cold, _ = cold_dispatch()
-    arena_cold, publish = cold_dispatch(weight_arena="shm")
-    reduction = plain_cold / arena_cold
-    print(f"\nweight arena (large profile, full codec): cold dispatch "
-          f"{plain_cold}B inline -> {arena_cold}B descriptors "
-          f"({reduction:.1f}x), publish {publish['bytes']}B in "
-          f"{publish['seconds'] * 1000:.2f} ms")
-    # Descriptor frames still count: the probe reports real bytes …
-    assert arena_cold > 0
-    # … and the acceptance claim: >=10x smaller than inline dispatch.
-    assert plain_cold >= 10 * arena_cold
-    return {
-        "samples_per_client": samples_per_client,
-        "codec": "full",
-        "cold_dispatch_bytes": {"inline": plain_cold,
-                                "arena": arena_cold},
-        "cold_reduction": reduction,
-        "publish": publish,
-    }
-
-
-# --------------------------------------------------------------------- #
-# stacked fusion: clients/sec of the fused training engine
-# --------------------------------------------------------------------- #
-
-_FUSION_CLIENTS = 64
-_FUSION_BATCH_SIZE = 5
-_FUSION_SAMPLES = 40
-
-
-def _fusion_fleet():
-    """A topology-homogeneous plain-FLClient fleet (fusion-eligible)."""
-    pool = make_classification_images(
-        _FUSION_SAMPLES * _FUSION_CLIENTS, _BENCH_SPEC,
-        np.random.default_rng(0))
-    device = DeviceProfile(name="bench-node", compute_gflops=50.0,
-                           memory_bandwidth_gbps=10.0,
-                           network_bandwidth_mbps=100.0,
-                           memory_capacity_mb=1024.0)
-    config = ClientConfig(batch_size=_FUSION_BATCH_SIZE, local_epochs=1,
-                          learning_rate=0.1)
-    return [FLClient(client_id=index,
-                     dataset=pool.subset(np.arange(
-                         index * _FUSION_SAMPLES,
-                         (index + 1) * _FUSION_SAMPLES)),
-                     device=device, model_factory=_bench_model,
-                     config=config, seed=index)
-            for index in range(_FUSION_CLIENTS)]
-
-
-def _fusion_sweep_report():
-    """Measure and assert the stacked-fusion claim: one batched-GEMM
-    pass over a topology-homogeneous cluster trains >=2x more
-    clients/sec than the per-client serial loop, bit-identically.
-
-    Times the two engines in-process (no backend in between, like the
-    aggregation vectorization guard) so the comparison isolates the
-    training math from pool scheduling.  Small batches make the
-    per-client Python/BLAS call overhead visible — exactly the regime
-    stacking exists for.
-    """
-    from types import SimpleNamespace
-
-    from repro.fl.fusion import cluster_signature, train_cluster
-
-    weights = _bench_model().get_weights()
-    serial_fleet = _fusion_fleet()
-    fused_fleet = _fusion_fleet()
-    members = [(client, SimpleNamespace(weights_ref=0, mask=None,
-                                        local_epochs=None, base_cycle=0))
-               for client in fused_fleet]
-    signatures = {cluster_signature(client, SimpleNamespace(jobs=[job]),
-                                    [weights])
-                  for client, job in members}
-    assert len(signatures) == 1 and None not in signatures
-
-    def serial_cycle():
-        return [client.local_train(weights) for client in serial_fleet]
-
-    def fused_cycle():
-        return train_cluster(members, [weights])
-
-    # One warm-up cycle each, then bit-identity on the *same* cycle
-    # index (both fleets have now trained twice from identical seeds).
-    serial_cycle(), fused_cycle()
-    for expected, actual in zip(serial_cycle(), fused_cycle()):
-        assert expected.train_loss == actual.train_loss
-        for key in expected.weights:
-            np.testing.assert_array_equal(expected.weights[key],
-                                          actual.weights[key])
-    # Interleaved best-of-3 so CPU frequency/cache drift between the
-    # two measurements hits both engines equally.
-    serial_times, fused_times = [], []
-    for _ in range(3):
-        serial_times.append(_timeit(serial_cycle))
-        fused_times.append(_timeit(fused_cycle))
-    serial_s, fused_s = min(serial_times), min(fused_times)
-    serial_rate = _FUSION_CLIENTS / serial_s
-    fused_rate = _FUSION_CLIENTS / fused_s
-    print(f"\nstacked fusion ({_FUSION_CLIENTS} homogeneous clients, "
-          f"batch {_FUSION_BATCH_SIZE}): serial {serial_rate:.0f} "
-          f"clients/s, fused {fused_rate:.0f} clients/s "
-          f"({fused_rate / serial_rate:.2f}x)")
-    # The acceptance claim: >=2x clients/sec from one stacked pass.
-    assert fused_rate >= 2 * serial_rate
-    return {
-        "num_clients": _FUSION_CLIENTS,
-        "batch_size": _FUSION_BATCH_SIZE,
-        "samples_per_client": _FUSION_SAMPLES,
-        "clients_per_second": {"serial": serial_rate,
-                               "stacked": fused_rate},
-        "speedup": fused_rate / serial_rate,
-    }
-
-
-def test_arena_fusion_report_json(results_dir):
-    """Write BENCH_arena_fusion.json — the CI smoke artifact with the
-    arena cold-dispatch sweep and the fused clients/sec measurement."""
-    report = {"arena": _arena_sweep_report(),
-              "fusion": _fusion_sweep_report()}
-    path = os.path.join(results_dir, "BENCH_arena_fusion.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"written {path}")
 
 
 # --------------------------------------------------------------------- #
@@ -772,19 +596,14 @@ def test_substrate_report_json(results_dir):
     """Write BENCH_substrate.json and assert the dispatch-scaling and
     delta-shipping claims."""
     cycle_seconds = {name: _timed_cycle(name)
-                     for name in ("serial", "thread", "process",
-                                  "persistent", "sharded")}
+                     for name in ("serial", "thread", "persistent",
+                                  "sharded")}
     # Warm-cycle latency with the full codec enabled (delta + zlib), so
     # codec overhead regressions show up next to the plain numbers.
     cycle_seconds["persistent_delta_zlib"] = _timed_cycle(
         "persistent", **_CODEC_CONFIGS["delta_zlib"])
     cycle_seconds["sharded_delta_zlib"] = _timed_cycle(
         "sharded", **_CODEC_CONFIGS["delta_zlib"])
-    # Warm-cycle latency with the arena dispatch plane enabled — warm
-    # delta frames are small, so this guards against the arena adding
-    # per-cycle overhead rather than demonstrating a win.
-    cycle_seconds["persistent_arena"] = _timed_cycle(
-        "persistent", weight_arena="shm")
     codec_payloads = {
         name: {"small": _dispatch_payloads(20, name),
                "large": _dispatch_payloads(200, name,
@@ -799,8 +618,6 @@ def test_substrate_report_json(results_dir):
         "client_latency_s": _CLIENT_LATENCY_S,
         "cycle_seconds": cycle_seconds,
         "dispatch_payload_bytes": payloads,
-        "arena": _arena_sweep_report(),
-        "fusion": _fusion_sweep_report(),
         "transport": _transport_ping_report(),
         "virtual_fleets": _virtual_sweep_report(),
         "codec": {
@@ -824,7 +641,7 @@ def test_substrate_report_json(results_dir):
           f"evolving cycle full {evolving['full']}B / delta+zlib "
           f"{evolving['delta_zlib']}B "
           f"({evolving['full'] / evolving['delta_zlib']:.2f}x), "
-          f"process baseline {payloads['small']['process']}B")
+          f"cold dispatch {payloads['small']['persistent_cold']}B")
     for name, sizes in codec_payloads.items():
         # Warm resident dispatch ships weights/deltas + RNG digests
         # only: the payload must not grow with the dataset (the digest
@@ -837,12 +654,13 @@ def test_substrate_report_json(results_dir):
         # the pipe workers' …
         assert (sizes["small"]["sharded_warm"]
                 == sizes["small"]["persistent_warm"])
-        # … and the process backend re-pickles whole clients, datasets
-        # included: strictly larger at every size.
-        assert sizes["large"]["process"] > sizes["small"]["process"]
+        # … and the cold dispatch ships every spec, datasets included:
+        # it grows with the dataset and is strictly larger at every size.
+        assert (sizes["large"]["persistent_cold"]
+                > sizes["small"]["persistent_cold"])
         for size in ("small", "large"):
             assert (sizes[size]["persistent_warm"]
-                    < sizes[size]["process"])
+                    < sizes[size]["persistent_cold"])
     # The tentpole claim: delta shipping cuts the warm-cycle dispatch of
     # the resident backends at least 5x vs. the full-snapshot baseline
     # (identical-resend path — unchanged parameters ship as a bitmap).

@@ -1,7 +1,7 @@
 """Checker 1: nondeterminism sources in determinism-critical modules.
 
 The backends' contract is *bit-identical* histories across serial,
-thread, process, persistent and sharded execution under a fixed seed
+thread, persistent and sharded execution under a fixed seed
 (README § Determinism guarantees).  Any wall-clock read, global-RNG
 call, unordered-set iteration, ``id()``-based ordering or OS entropy
 inside the modules that implement that contract is either a bug or a
@@ -31,13 +31,11 @@ from .engine import Checker, Finding, SourceModule, resolve_call_name
 __all__ = ["DeterminismChecker", "DEFAULT_DETERMINISM_TARGETS"]
 
 #: Modules (by basename) whose results must be bit-identical across
-#: backends: the executor dispatch path, fused training, the exact-fold
-#: aggregation layer, the wire codec, the shared-memory arena — and the
-#: chaos engine, whose whole premise is that injected fault sequences
-#: replay exactly from (seed, plan).
+#: backends: the executor dispatch path, the exact-fold aggregation
+#: layer, the wire codec — and the chaos engine, whose whole premise is
+#: that injected fault sequences replay exactly from (seed, plan).
 DEFAULT_DETERMINISM_TARGETS = frozenset({
-    "executor.py", "fusion.py", "aggregation.py", "codec.py", "arena.py",
-    "chaos.py", "scenario.py",
+    "executor.py", "aggregation.py", "codec.py", "chaos.py", "scenario.py",
 })
 
 _WALL_CLOCK = frozenset({

@@ -36,9 +36,9 @@ from typing import List, Optional
 from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
 from .fl.codec import COMPRESSIONS as WIRE_COMPRESSIONS
-from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES, FUSION_MODES,
-                          SHARD_ANNOUNCE_PREFIX, WEIGHT_ARENA_MODES,
-                          available_backends, make_backend)
+from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES,
+                          SHARD_ANNOUNCE_PREFIX, available_backends,
+                          make_backend)
 
 __all__ = ["build_parser", "main"]
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "per cycle)")
     run_parser.add_argument("--workers", type=int, default=None,
                             help="worker count for the pooled backends "
-                                 "(thread/process/persistent, or the "
+                                 "(thread/persistent, or the "
                                  "number of auto-spawned localhost shards "
                                  "for sharded; default: library default)")
     run_parser.add_argument("--shards", default=None,
@@ -117,24 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "upstream bytes instead of O(weights x "
                                  "clients); results are bit-identical "
                                  "either way")
-    run_parser.add_argument("--weight-arena", default=None,
-                            choices=WEIGHT_ARENA_MODES,
-                            help="weight dispatch plane of the persistent "
-                                 "backend: 'off' ships weight bytes over "
-                                 "the worker pipes (default), 'shm' "
-                                 "publishes them once per cycle into a "
-                                 "shared-memory arena and ships only "
-                                 "descriptors (requires --backend "
-                                 "persistent; single-host; results are "
-                                 "bit-identical either way)")
-    run_parser.add_argument("--fusion", default=None,
-                            choices=FUSION_MODES,
-                            help="in-worker training engine: 'off' trains "
-                                 "clients one by one (default), 'stacked' "
-                                 "trains topology-homogeneous clients as "
-                                 "one batched-GEMM pass (requires "
-                                 "--backend sharded or persistent; results "
-                                 "are bit-identical either way)")
     run_parser.add_argument("--failover-attempts", type=int, default=None,
                             metavar="N",
                             help="per-batch cap on failover retries of the "
@@ -271,8 +253,6 @@ def _run(experiment: str, scale: str, seed: int,
          wire_compression: Optional[str] = None,
          delta_shipping: Optional[bool] = None,
          aggregation: Optional[str] = None,
-         weight_arena: Optional[str] = None,
-         fusion: Optional[str] = None,
          failover_attempts: Optional[int] = None,
          drain_timeout: Optional[float] = None,
          reconnect_attempts: Optional[int] = None,
@@ -302,12 +282,6 @@ def _run(experiment: str, scale: str, seed: int,
                                                       "persistent"):
         raise ValueError("--no-delta-shipping requires --backend "
                          "sharded or --backend persistent")
-    if weight_arena is not None and backend != "persistent":
-        raise ValueError("--weight-arena requires --backend persistent "
-                         "(shared-memory arenas are single-host)")
-    if fusion is not None and backend not in ("sharded", "persistent"):
-        raise ValueError("--fusion requires --backend sharded or "
-                         "--backend persistent")
     # Retry knobs assemble into one RetryPolicy spec; RetryPolicy and
     # make_backend own the value validation (one-line ValueErrors).
     retry_spec = {}
@@ -340,8 +314,8 @@ def _run(experiment: str, scale: str, seed: int,
         print(f"warning: experiment {experiment!r} runs no client "
               f"trainings; ignoring --backend/--workers/--shards/"
               f"--on-shard-failure/--heartbeat-interval/"
-              f"--wire-compression/--no-delta-shipping/--aggregation/"
-              f"--weight-arena/--fusion and the retry/connect knobs",
+              f"--wire-compression/--no-delta-shipping/--aggregation "
+              f"and the retry/connect knobs",
               file=sys.stderr)
     elif backend == "serial" and workers is not None:
         print("warning: --workers has no effect with the serial backend",
@@ -355,8 +329,6 @@ def _run(experiment: str, scale: str, seed: int,
                                       wire_compression=wire_compression,
                                       delta_shipping=delta_shipping,
                                       aggregation=aggregation,
-                                      weight_arena=weight_arena,
-                                      fusion=fusion,
                                       retry_policy=retry_spec or None,
                                       connect_timeout=connect_timeout)
         kwargs["backend"] = shared_backend
@@ -439,8 +411,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         delta_shipping=(False if args.no_delta_shipping
                                         else None),
                         aggregation=args.aggregation,
-                        weight_arena=args.weight_arena,
-                        fusion=args.fusion,
                         failover_attempts=args.failover_attempts,
                         drain_timeout=args.drain_timeout,
                         reconnect_attempts=args.reconnect_attempts,

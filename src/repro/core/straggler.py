@@ -146,7 +146,7 @@ class StragglerIdentifier:
             Optional execution backend: large fleets can fan the per-device
             cost-model evaluations out over its :meth:`map_ordered`
             (thread backend recommended — the estimate is a bound method,
-            which the process backend would have to pickle).
+            which the worker-resident backends would have to pickle).
         """
         if backend is None:
             estimates = [self.profiler.estimate(device)

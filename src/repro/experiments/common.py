@@ -218,9 +218,7 @@ def run_strategies(simulation_factory: Callable[[], FederatedSimulation],
                    heartbeat_interval: Optional[float] = None,
                    wire_compression: Optional[str] = None,
                    delta_shipping: Optional[bool] = None,
-                   aggregation: Optional[str] = None,
-                   weight_arena: Optional[str] = None,
-                   fusion: Optional[str] = None
+                   aggregation: Optional[str] = None
                    ) -> Dict[str, TrainingHistory]:
     """Run every strategy on its own fresh copy of the simulation.
 
@@ -237,11 +235,8 @@ def run_strategies(simulation_factory: Callable[[], FederatedSimulation],
     ``wire_compression``/``delta_shipping`` their wire codec, and
     ``aggregation`` (``"flat"``/``"hierarchical"``) the aggregation
     topology strategies see through
-    :meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`,
-    and ``weight_arena``/``fusion`` the persistent backend's
-    shared-memory dispatch plane and the worker-resident backends'
-    stacked training engine — see
-    :func:`~repro.fl.executor.make_backend`.
+    :meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`
+    — see :func:`~repro.fl.executor.make_backend`.
     """
     if aggregation is not None and backend is None:
         backend = "serial"
@@ -251,9 +246,7 @@ def run_strategies(simulation_factory: Callable[[], FederatedSimulation],
                                    heartbeat_interval=heartbeat_interval,
                                    wire_compression=wire_compression,
                                    delta_shipping=delta_shipping,
-                                   aggregation=aggregation,
-                                   weight_arena=weight_arena,
-                                   fusion=fusion)
+                                   aggregation=aggregation)
                       if backend is not None else None)
     owns_backend = (shared_backend is not None
                     and not isinstance(backend, ExecutionBackend))

@@ -7,9 +7,8 @@ from .aggregation import (ModelStructure, PartialAggregate, aggregate_full,
 from .chaos import ChaosController, FaultPlan, seeded_jitter
 from .client import (ClientConfig, ClientSpec, ClientState, ClientUpdate,
                      FLClient, TrainingSummary)
-from .executor import (AGGREGATION_MODES, FAILURE_POLICIES, FUSION_MODES,
-                       WEIGHT_ARENA_MODES, ExecutionBackend,
-                       PersistentProcessBackend, ProcessPoolBackend,
+from .executor import (AGGREGATION_MODES, FAILURE_POLICIES,
+                       ExecutionBackend, PersistentProcessBackend,
                        RetryPolicy, SerialBackend, ShardError,
                        ShardedSocketBackend, ThreadPoolBackend, TrainingJob,
                        available_backends, make_backend)
@@ -49,7 +48,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "PersistentProcessBackend",
     "ShardedSocketBackend",
     "ShardError",
@@ -59,8 +57,6 @@ __all__ = [
     "seeded_jitter",
     "AGGREGATION_MODES",
     "FAILURE_POLICIES",
-    "FUSION_MODES",
-    "WEIGHT_ARENA_MODES",
     "TrainingJob",
     "available_backends",
     "make_backend",

@@ -11,11 +11,6 @@ Four implementations are provided:
   machines overlap the matrix work of independent clients; single-core
   machines still overlap any latency the client hides (I/O, real device
   round-trips once those exist).
-* :class:`ProcessPoolBackend` — clients are shipped to worker processes
-  (requires every client component — datasets, model factories, loss
-  factories — to be picklable).  Full CPU parallelism, but the *whole*
-  client (dataset included) is re-pickled every batch, so dispatch cost
-  grows with dataset and model size.
 * :class:`PersistentProcessBackend` — clients live *resident* in worker
   processes.  Each worker builds its clients once from their picklable
   :class:`~repro.fl.client.ClientSpec` and keeps them across cycles; per
@@ -53,8 +48,8 @@ All backends are *bit-identical* to each other under a fixed seed:
   placement) so its resident replica is never duplicated;
 * results are re-ordered to match the submitted job order before they are
   returned, regardless of completion order;
-* the process-based backends ship the client's post-training RNG state and
-  weights back to the parent so the in-process client objects advance
+* the worker-resident backends ship the client's post-training RNG state
+  and weights back to the parent so the in-process client objects advance
   exactly as if they had trained locally.
 
 A worker that raises propagates its exception to the caller — the batch
@@ -85,7 +80,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -96,14 +91,12 @@ from ..nn.masking import ModelMask
 from . import codec as wire_codec
 from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           fold_updates, level_sums, merge_partials)
-from .arena import WEIGHT_ARENA_MODES, ArenaReader, WeightArenaWriter
 from .chaos import seeded_jitter
 from .client import ClientSpec, ClientUpdate, FLClient
 from .codec import (DeltaDecoderState, DeltaEncoderState, KIND_BYE,
                     KIND_CLOSE, KIND_ERROR, KIND_FOLD, KIND_MAP, KIND_OK,
                     KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
                     KIND_SHUTDOWN, KIND_VFOLD)
-from .fusion import FUSION_MODES, cluster_signature, train_cluster
 from .transport import (DEFAULT_MAX_FRAME_BYTES, ProtocolError,
                         TransportError, _picklable_exception,
                         connect_to_shard, format_address, parse_address)
@@ -113,15 +106,12 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "PersistentProcessBackend",
     "ShardedSocketBackend",
     "ShardError",
     "RetryPolicy",
     "AGGREGATION_MODES",
     "FAILURE_POLICIES",
-    "FUSION_MODES",
-    "WEIGHT_ARENA_MODES",
     "available_backends",
     "make_backend",
 ]
@@ -358,17 +348,6 @@ def _train_jobs_inplace(client: FLClient,
             for job in jobs]
 
 
-def _train_jobs_in_subprocess(client: FLClient, jobs: Sequence[TrainingJob]
-                              ) -> Tuple[List[ClientUpdate], dict]:
-    """Worker entry point of the process backend.
-
-    Returns the updates plus the client's post-training RNG state so the
-    parent process can advance its own copy of the client identically.
-    """
-    updates = _train_jobs_inplace(client, jobs)
-    return updates, client.rng.bit_generator.state
-
-
 def _group_jobs(jobs: Sequence[TrainingJob]
                 ) -> List[Tuple[int, List[int], List[TrainingJob]]]:
     """Group jobs by client index, preserving submission order.
@@ -534,9 +513,8 @@ class ExecutionBackend:
 
         Diagnostic used by the substrate benchmark to compare dispatch
         cost across backends.  In-process backends ship nothing (0); the
-        process backend re-pickles whole clients; the persistent backend
-        ships weights/masks/RNG digests only (plus specs for clients its
-        workers have not built yet).
+        worker-resident backends ship weights/masks/RNG digests only (plus
+        specs for clients their workers have not built yet).
         """
         return 0
 
@@ -569,23 +547,28 @@ class SerialBackend(ExecutionBackend):
             base_cycle=job.base_cycle) for job in jobs]
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared machinery of the thread- and process-pool backends."""
+class ThreadPoolBackend(ExecutionBackend):
+    """Train distinct clients concurrently on worker threads.
+
+    Clients mutate their own model replica and RNG in place exactly as in
+    a serial run, so no state reconciliation is needed; only *distinct*
+    clients run concurrently.
+    """
+
+    name = "thread"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers
-        self._pool = None
-
-    def _make_pool(self):
-        raise NotImplementedError
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     @property
-    def pool(self):
+    def pool(self) -> ThreadPoolExecutor:
         """The lazily created worker pool."""
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(max_workers=self.max_workers,
+                                            thread_name_prefix="fl-train")
         return self._pool
 
     def close(self) -> None:
@@ -599,102 +582,28 @@ class _PoolBackend(ExecutionBackend):
                 # has nothing left worth raising about.
                 _note_swallowed("shutting down the worker pool", exc)
 
-    def _submit_job_groups(self, clients: Sequence[FLClient],
-                           jobs: Sequence[TrainingJob],
-                           worker: Callable) -> List[ClientUpdate]:
+    def run_jobs(self, clients: Sequence[FLClient],
+                 jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
         """Fan the per-client job groups out to the pool, reorder results."""
-        groups = _group_jobs(jobs)
-        futures: List[Tuple[Future, int, List[int]]] = [
-            (self.pool.submit(worker, clients[index], client_jobs),
-             index, positions)
-            for index, positions, client_jobs in groups
+        futures: List[Tuple[Future, List[int]]] = [
+            (self.pool.submit(_train_jobs_inplace, clients[index],
+                              client_jobs), positions)
+            for index, positions, client_jobs in _group_jobs(jobs)
         ]
         results: List[Optional[ClientUpdate]] = [None] * len(jobs)
         try:
-            for future, index, positions in futures:
-                updates = self._collect(clients[index], future)
-                for position, update in zip(positions, updates):
+            for future, positions in futures:
+                for position, update in zip(positions, future.result()):
                     results[position] = update
         except BaseException:
-            for future, _, _ in futures:
+            for future, _ in futures:
                 future.cancel()
             raise
         return results  # type: ignore[return-value]
 
-    def _collect(self, client: FLClient,
-                 future: Future) -> List[ClientUpdate]:
-        raise NotImplementedError
-
     def map_ordered(self, fn: Callable[[Any], Any],
                     items: Sequence[Any]) -> List[Any]:
         return list(self.pool.map(fn, items))
-
-
-class ThreadPoolBackend(_PoolBackend):
-    """Train distinct clients concurrently on worker threads.
-
-    Clients mutate their own model replica and RNG in place exactly as in
-    a serial run, so no state reconciliation is needed; only *distinct*
-    clients run concurrently.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.max_workers,
-                                  thread_name_prefix="fl-train")
-
-    def run_jobs(self, clients: Sequence[FLClient],
-                 jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        return self._submit_job_groups(clients, jobs, _train_jobs_inplace)
-
-    def _collect(self, client: FLClient,
-                 future: Future) -> List[ClientUpdate]:
-        return future.result()
-
-
-class ProcessPoolBackend(_PoolBackend):
-    """Train clients in worker processes.
-
-    The client object is pickled to the worker; the updates and the
-    client's post-training RNG state are shipped back, and the parent-side
-    client is synchronized (RNG state restored, model weights set to the
-    last update's weights) so subsequent cycles are bit-identical to a
-    serial run.  Requires picklable clients — in particular the model,
-    loss and dataset factories must be module-level callables, not
-    closures.
-
-    Dispatch cost is the backend's weakness: every batch re-pickles each
-    participating client wholesale, dataset included.  For fleets with
-    non-trivial local datasets prefer :class:`PersistentProcessBackend`.
-    """
-
-    name = "process"
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def run_jobs(self, clients: Sequence[FLClient],
-                 jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        return self._submit_job_groups(clients, jobs,
-                                       _train_jobs_in_subprocess)
-
-    def dispatch_payload_bytes(self, clients: Sequence[FLClient],
-                               jobs: Sequence[TrainingJob]) -> int:
-        return sum(
-            len(pickle.dumps((clients[index], client_jobs),
-                             _PICKLE_PROTOCOL))
-            for index, _, client_jobs in _group_jobs(jobs))
-
-    def _collect(self, client: FLClient,
-                 future: Future) -> List[ClientUpdate]:
-        updates, rng_state = future.result()
-        # Mirror the in-place mutations a serial run would have performed.
-        client.rng.bit_generator.state = rng_state
-        if updates:
-            client.model.set_weights(updates[-1].weights)
-            client.model.clear_neuron_masks()
-        return updates
 
 
 # --------------------------------------------------------------------- #
@@ -735,17 +644,12 @@ class _WireGroup:
 class _WireBatch:
     """Everything one persistent worker needs for one cycle.
 
-    ``fusion`` selects the in-worker training engine: ``"off"`` runs the
-    classic per-client loop, ``"stacked"`` fuses topology-homogeneous
-    clients into batched multi-client GEMMs (see :mod:`repro.fl.fusion`)
-    — bit-identical either way.  ``straggle_s`` is an injected
-    slowdown slept inside the worker before training (chaos scenarios'
-    straggler waves; 0 in production).
+    ``straggle_s`` is an injected slowdown slept inside the worker
+    before training (chaos scenarios' straggler waves; 0 in production).
     """
 
     weights_table: List[Dict[str, np.ndarray]]
     groups: List[_WireGroup]
-    fusion: str = "off"
     straggle_s: float = 0.0
 
 
@@ -767,7 +671,6 @@ class _WireFoldBatch:
     factors: List[List[float]]
     partial: bool
     structure: Optional[ModelStructure]
-    fusion: str = "off"
     straggle_s: float = 0.0
 
 
@@ -866,7 +769,6 @@ def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
     """
     residents: Dict[int, FLClient] = {}
     codec_state = DeltaDecoderState()
-    arena_reader = ArenaReader()
     try:
         while True:
             try:
@@ -879,8 +781,7 @@ def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
                 # decoded as views must be writable like the socket
                 # shards' (and the old in-band pickles').
                 kind, payload = wire_codec.decode_message(
-                    memoryview(bytearray(blob)), delta_state=codec_state,
-                    arena=arena_reader)
+                    memoryview(bytearray(blob)), delta_state=codec_state)
             except wire_codec.DeltaBaseMismatchError as exc:
                 # The parent's delta assumed a base this worker does not
                 # hold; report it so the parent re-sends a full snapshot.
@@ -898,16 +799,17 @@ def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
             reply = _handle_resident_request(kind, payload, residents)
             conn.send_bytes(_encode_reply(reply, wire_compression))
     finally:
-        arena_reader.close()
         conn.close()
 
 
-def _ensure_resident(residents: Dict[int, FLClient],
-                     group: _WireGroup) -> Tuple:
-    """Build or fetch a group's resident client.
+def _train_wire_group(residents: Dict[int, FLClient],
+                      weights_table: List[Dict[str, np.ndarray]],
+                      group: _WireGroup) -> Tuple:
+    """Train one group's chained jobs against the resident fleet.
 
-    Returns ``("ok", client)`` or ``("error", exc)``; build failures
-    drop any stale replica so the parent re-ships a clean spec.
+    Returns ``("ok", updates, rng_state)`` or ``("error", exc)``; a
+    failure drops the resident replica so the parent re-ships a clean
+    spec before the client's next batch.
     """
     if group.spec is not None:
         # A spec that cannot build on this host (import error, missing
@@ -922,19 +824,6 @@ def _ensure_resident(residents: Dict[int, FLClient],
         return ("error", RuntimeError(
             f"worker has no resident client {group.index} and "
             f"received no spec"))
-    return ("ok", client)
-
-
-def _train_resident_group(residents: Dict[int, FLClient],
-                          client: FLClient,
-                          weights_table: List[Dict[str, np.ndarray]],
-                          group: _WireGroup) -> Tuple:
-    """Train one ensured client's chained jobs through the classic loop.
-
-    Returns ``("ok", updates, rng_state)`` or ``("error", exc)``; the
-    error case drops the resident replica so the parent re-ships a clean
-    spec before the client's next batch.
-    """
     client.rng.bit_generator.state = group.rng_state
     try:
         updates = [client.local_train(
@@ -947,72 +836,6 @@ def _train_resident_group(residents: Dict[int, FLClient],
         residents.pop(group.index, None)
         return ("error", _picklable_exception(exc))
     return ("ok", updates, client.rng.bit_generator.state)
-
-
-def _train_wire_group(residents: Dict[int, FLClient],
-                      weights_table: List[Dict[str, np.ndarray]],
-                      group: _WireGroup) -> Tuple:
-    """Train one group's chained jobs against the resident fleet."""
-    ensured = _ensure_resident(residents, group)
-    if ensured[0] == "error":
-        return ensured
-    return _train_resident_group(residents, ensured[1], weights_table,
-                                 group)
-
-
-def _train_groups_stacked(residents: Dict[int, FLClient],
-                          weights_table: List[Dict[str, np.ndarray]],
-                          groups: List[_WireGroup]) -> List[Tuple]:
-    """Train a batch's groups with fusion-eligible clients clustered.
-
-    Groups sharing a :func:`~repro.fl.fusion.cluster_signature` train as
-    one stacked multi-client pass; singletons and ineligible groups run
-    the classic per-client loop.  Outcomes come back in group order and
-    are bit-identical to the classic path — clients share no state and
-    every group's RNG is restored from its shipped digest, so the
-    cluster-first execution order is invisible in the results.
-    """
-    outcomes: List[Optional[Tuple]] = [None] * len(groups)
-    clusters: Dict[Tuple, List[Tuple[int, FLClient, _WireGroup]]] = {}
-    for position, group in enumerate(groups):
-        ensured = _ensure_resident(residents, group)
-        if ensured[0] == "error":
-            outcomes[position] = ensured
-            continue
-        client = ensured[1]
-        signature = cluster_signature(client, group, weights_table)
-        if signature is None:
-            outcomes[position] = _train_resident_group(
-                residents, client, weights_table, group)
-        else:
-            clusters.setdefault(signature, []).append(
-                (position, client, group))
-    for members in clusters.values():
-        if len(members) < 2:
-            # A cluster of one gains nothing from stacking; keep the
-            # classic loop as the single source of singleton numerics.
-            for position, client, group in members:
-                outcomes[position] = _train_resident_group(
-                    residents, client, weights_table, group)
-            continue
-        for _, client, group in members:
-            client.rng.bit_generator.state = group.rng_state
-        try:
-            updates = train_cluster(
-                [(client, group.jobs[0]) for _, client, group in members],
-                weights_table)
-        except Exception as exc:
-            # The stacked pass has no per-client failure boundary: fail
-            # every member and drop their replicas for a clean re-ship.
-            wrapped = _picklable_exception(exc)
-            for position, _, group in members:
-                residents.pop(group.index, None)
-                outcomes[position] = ("error", wrapped)
-            continue
-        for (position, client, _), update in zip(members, updates):
-            outcomes[position] = ("ok", [update],
-                                  client.rng.bit_generator.state)
-    return outcomes
 
 
 def _straggle(batch: Any) -> None:
@@ -1029,26 +852,13 @@ def _straggle(batch: Any) -> None:
         time.sleep(seconds)
 
 
-def _train_batch_groups(residents: Dict[int, FLClient],
-                        weights_table: List[Dict[str, np.ndarray]],
-                        groups: List[_WireGroup],
-                        fusion: str) -> List[Tuple]:
-    """Per-group training outcomes, via the configured engine."""
-    if fusion == "stacked":
-        return _train_groups_stacked(residents, weights_table, groups)
-    return [_train_wire_group(residents, weights_table, group)
-            for group in groups]
-
-
 def _run_wire_batch(residents: Dict[int, FLClient],
                     batch: _WireBatch) -> List[Tuple]:
     """Train every group of a worker batch against the resident fleet."""
     _straggle(batch)
     results: List[Tuple] = []
-    outcomes = _train_batch_groups(residents, batch.weights_table,
-                                   batch.groups,
-                                   getattr(batch, "fusion", "off"))
-    for group, outcome in zip(batch.groups, outcomes):
+    for group in batch.groups:
+        outcome = _train_wire_group(residents, batch.weights_table, group)
         if outcome[0] == "error":
             results.append((group.index, "error", outcome[1]))
         else:
@@ -1073,11 +883,8 @@ def _run_fold_batch(residents: Dict[int, FLClient],
     folded_updates: List[ClientUpdate] = []
     folded_factors: List[float] = []
     failed = False
-    outcomes = _train_batch_groups(residents, batch.weights_table,
-                                   batch.groups,
-                                   getattr(batch, "fusion", "off"))
-    for group, group_factors, outcome in zip(batch.groups, batch.factors,
-                                             outcomes):
+    for group, group_factors in zip(batch.groups, batch.factors):
+        outcome = _train_wire_group(residents, batch.weights_table, group)
         if outcome[0] == "error":
             results.append((group.index, "error", outcome[1]))
             failed = True
@@ -1256,7 +1063,6 @@ class _ResidentFleetBackend(ExecutionBackend):
     def __init__(self, on_failure: str = "abort",
                  wire_compression: str = "none",
                  delta_shipping: bool = True,
-                 fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if on_failure not in FAILURE_POLICIES:
             raise ValueError(
@@ -1266,9 +1072,6 @@ class _ResidentFleetBackend(ExecutionBackend):
             raise ValueError(
                 f"unknown wire compression {wire_compression!r}; "
                 f"available: {wire_codec.COMPRESSIONS}")
-        if fusion not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {fusion!r}; "
-                             f"available: {FUSION_MODES}")
         if retry_policy is not None and not isinstance(retry_policy,
                                                        RetryPolicy):
             raise ValueError(f"retry_policy must be a RetryPolicy, "
@@ -1277,12 +1080,6 @@ class _ResidentFleetBackend(ExecutionBackend):
         #: Recovery knobs (attempt cap, backoff, drain timeout, breaker)
         #: — defaults reproduce the historical constants exactly.
         self.retry_policy = retry_policy or RetryPolicy()
-        #: In-worker training engine (``"off"``/``"stacked"``) shipped
-        #: with every wire batch — see :mod:`repro.fl.fusion`.
-        self.fusion = fusion
-        #: Shared-memory arena writer (persistent backend only; ``None``
-        #: keeps every segment on the wire).
-        self._arena: Optional[WeightArenaWriter] = None
         #: Per-segment compression of the wire codec (``"none"``/
         #: ``"zlib"``) — applied to dispatches and, via negotiation or
         #: worker configuration, to the slots' replies.
@@ -1492,7 +1289,7 @@ class _ResidentFleetBackend(ExecutionBackend):
         return wire_codec.encode_message(
             (kind, batch), compression=self._slot_compression(slot),
             delta_state=state, force_full=force_full,
-            delta_cache=delta_cache, arena=self._arena)
+            delta_cache=delta_cache)
 
     def _commit_tx(self, slot: int, frame: "wire_codec.EncodedFrame",
                    array_cache: Optional[Dict] = None) -> None:
@@ -1676,7 +1473,6 @@ class _ResidentFleetBackend(ExecutionBackend):
                 placement[index] = slot
             batch = batches.setdefault(
                 slot, _WireBatch(weights_table=[], groups=[],
-                                 fusion=self.fusion,
                                  straggle_s=(
                                      self._chaos.straggle_seconds(slot)
                                      if self._chaos is not None else 0.0)))
@@ -1716,11 +1512,6 @@ class _ResidentFleetBackend(ExecutionBackend):
         slot.  Also refreshes :attr:`last_dispatch_bytes` and
         :attr:`last_reply_bytes` for this round trip.
         """
-        if self._arena is not None:
-            # The previous exchange is fully answered, so every arena
-            # generation but the most recent can be retired (and any
-            # staging a crashed attempt left behind is discarded).
-            self._arena.collect()
         # Both caches live for exactly one batch: they share the
         # O(weights) delta/copy work across slots encoding (and later
         # committing) the same global snapshot.
@@ -1730,10 +1521,6 @@ class _ResidentFleetBackend(ExecutionBackend):
                                          delta_cache=delta_cache,
                                          kind=wire_kind)
                   for slot, batch in batches.items()}
-        if self._arena is not None:
-            # Materialize the staged segments before any frame that
-            # references them can reach a worker.
-            self._arena.publish()
         self.last_dispatch_bytes = sum(frame.total_bytes
                                        for frame in frames.values())
         self.last_reply_bytes = 0
@@ -1766,12 +1553,6 @@ class _ResidentFleetBackend(ExecutionBackend):
                 mismatch_state.reset()
                 full = self._encode_run(slot, batches[slot],
                                         force_full=True, kind=wire_kind)
-                if self._arena is not None:
-                    # The resend staged its segments into a successor
-                    # generation; the earlier one stays live until the
-                    # next exchange's collect() in case later slots'
-                    # replies force more resends against it.
-                    self._arena.publish()
                 self.last_dispatch_bytes += full.total_bytes
                 frames[slot] = full
                 self._dispatch(slot, full, "re-sending a full snapshot",
@@ -1881,7 +1662,6 @@ class _ResidentFleetBackend(ExecutionBackend):
             slot: _WireFoldBatch(weights_table=batch.weights_table,
                                  groups=batch.groups, factors=[],
                                  partial=partial, structure=structure,
-                                 fusion=batch.fusion,
                                  straggle_s=batch.straggle_s)
             for slot, batch in batches.items()}
         # Per-slot factor rows line up with the slot's groups because
@@ -2059,20 +1839,13 @@ class _ResidentFleetBackend(ExecutionBackend):
 
         Encodes through the real codec path (delta states included, but
         never committed), so the number matches what the next batch
-        actually puts on the wire.  Under a shared-memory arena the
-        frames carry descriptors instead of array bytes, and those
-        descriptor bytes are what is reported — the staged (never
-        published) segments are abandoned before returning.
+        actually puts on the wire.
         """
         batches, _ = self._build_payloads(clients, jobs, commit=False)
         delta_cache: Dict = {}
-        try:
-            return sum(self._encode_run(slot, batch,
-                                        delta_cache=delta_cache).total_bytes
-                       for slot, batch in batches.items())
-        finally:
-            if self._arena is not None:
-                self._arena.abandon()
+        return sum(self._encode_run(slot, batch,
+                                    delta_cache=delta_cache).total_bytes
+                   for slot, batch in batches.items())
 
     def close(self) -> None:
         """Stop every slot; the backend re-creates them lazily if reused.
@@ -2116,8 +1889,8 @@ class PersistentProcessBackend(_ResidentFleetBackend):
     * a per-client RNG digest (a few hundred bytes).
 
     Per-cycle dispatch is therefore O(weights + masks), independent of
-    dataset size.  The reply path matches the process backend: updates
-    plus the post-training RNG digest, which the parent mirrors into its
+    dataset size.  Replies carry the updates plus the post-training RNG
+    digest, which the parent mirrors into its
     own client objects — so the fleet in the parent process is always
     current and migrating to another backend via
     :meth:`FederatedSimulation.set_backend` is lossless.
@@ -2129,24 +1902,14 @@ class PersistentProcessBackend(_ResidentFleetBackend):
                  on_failure: str = "abort",
                  wire_compression: str = "none",
                  delta_shipping: bool = True,
-                 weight_arena: str = "off",
-                 fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         super().__init__(on_failure=on_failure,
                          wire_compression=wire_compression,
                          delta_shipping=delta_shipping,
-                         fusion=fusion,
                          retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if weight_arena not in WEIGHT_ARENA_MODES:
-            raise ValueError(
-                f"unknown weight arena mode {weight_arena!r}; "
-                f"available: {WEIGHT_ARENA_MODES}")
         self.max_workers = max_workers
-        self.weight_arena = weight_arena
-        if weight_arena == "shm":
-            self._arena = WeightArenaWriter()
         self._ctx = multiprocessing.get_context()
         self._workers: Dict[int, _PersistentWorker] = {}
 
@@ -2229,11 +1992,6 @@ class PersistentProcessBackend(_ResidentFleetBackend):
         self._workers.clear()
         for worker in workers:
             worker.stop()
-        if self._arena is not None:
-            # After the workers are gone nothing can still reference a
-            # generation — unlink them all.  The writer stays reusable,
-            # so a re-opened backend keeps its arena.
-            self._arena.close()
 
 
 # --------------------------------------------------------------------- #
@@ -2398,12 +2156,10 @@ class ShardedSocketBackend(_ResidentFleetBackend):
                  heartbeat_timeout: float = 5.0,
                  wire_compression: str = "none",
                  delta_shipping: bool = True,
-                 fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         super().__init__(on_failure=on_failure,
                          wire_compression=wire_compression,
                          delta_shipping=delta_shipping,
-                         fusion=fusion,
                          retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
@@ -2750,7 +2506,6 @@ class ShardedSocketBackend(_ResidentFleetBackend):
 _BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadPoolBackend.name: ThreadPoolBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
     PersistentProcessBackend.name: PersistentProcessBackend,
     ShardedSocketBackend.name: ShardedSocketBackend,
 }
@@ -2769,8 +2524,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                  wire_compression: Optional[str] = None,
                  delta_shipping: Optional[bool] = None,
                  aggregation: Optional[str] = None,
-                 weight_arena: Optional[str] = None,
-                 fusion: Optional[str] = None,
                  retry_policy: Union[None, RetryPolicy,
                                      Dict[str, Any]] = None,
                  connect_timeout: Optional[float] = None
@@ -2781,16 +2534,18 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
     ----------
     spec:
         ``None`` (serial), a backend name (``"serial"``, ``"thread"``,
-        ``"process"``, ``"persistent"``, ``"sharded"``) or an already-
-        constructed backend instance (passed through unchanged).
+        ``"persistent"``, ``"sharded"``) or an already-constructed
+        backend instance (passed through unchanged).
     max_workers:
         Worker count for the pooled backends (``None`` = library default);
         for ``"sharded"`` without addresses it is the number of auto-
         spawned localhost shards.  Must be ``None`` when ``spec`` is an
         already-constructed instance (an instance's pool size cannot be
-        changed) *and* when ``spec`` names the serial backend (which has
-        no workers) — silently ignoring the argument would hide a
-        configuration error either way.
+        changed) or ``None`` (the defaulted serial backend has no
+        workers) — silently ignoring the argument would hide a
+        configuration error either way.  An explicit ``"serial"``
+        accepts and ignores it, so callers can sweep one worker count
+        across backend names.
     shards:
         Shard topology, only meaningful with ``spec="sharded"``: a list
         of ``"host:port"`` addresses (or one comma-separated string) of
@@ -2827,19 +2582,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         either way.  Valid for every backend name (the serial fold is
         the reference implementation); must be ``None`` when ``spec``
         is an already-constructed instance.
-    weight_arena:
-        Weight dispatch plane of the persistent backend (``"off"``,
-        default, or ``"shm"``).  With ``"shm"`` the parent publishes
-        each cycle's weight tables into a shared-memory arena and the
-        pipes carry only descriptors — see :mod:`repro.fl.arena`.
-        Single-host by construction, so only ``spec="persistent"``
-        accepts it.
-    fusion:
-        In-worker training engine of the worker-resident backends
-        (``"off"``, default, or ``"stacked"``).  With ``"stacked"``
-        clients sharing a model topology and batch schedule train as
-        one batched-GEMM pass — bit-identical to serial; see
-        :mod:`repro.fl.fusion`.
     retry_policy:
         Recovery knobs of the worker-resident backends — a
         :class:`RetryPolicy` or a plain dict for
@@ -2877,11 +2619,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 f"aggregation={aggregation!r} cannot be applied to an "
                 f"already-constructed backend instance {spec!r}; set the "
                 f"instance's aggregation attribute instead")
-        if weight_arena is not None or fusion is not None:
-            raise ValueError(
-                f"weight_arena/fusion cannot be applied to an already-"
-                f"constructed backend instance {spec!r}; construct the "
-                f"backend with the desired execution plane instead")
         if retry_policy is not None or connect_timeout is not None:
             raise ValueError(
                 f"retry_policy/connect_timeout cannot be applied to an "
@@ -2913,15 +2650,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         raise ValueError(
             f"wire_compression/delta_shipping only apply to the worker-"
             f"resident backends ('sharded', 'persistent'), not {spec!r}")
-    if weight_arena is not None and spec != PersistentProcessBackend.name:
-        raise ValueError(
-            f"weight_arena only applies to the 'persistent' backend "
-            f"(shared-memory arenas are single-host), not {spec!r}")
-    if fusion is not None and spec not in (ShardedSocketBackend.name,
-                                           PersistentProcessBackend.name):
-        raise ValueError(
-            f"fusion only applies to the worker-resident backends "
-            f"('sharded', 'persistent'), not {spec!r}")
     if retry_policy is not None and spec not in (
             ShardedSocketBackend.name, PersistentProcessBackend.name):
         raise ValueError(
@@ -2941,8 +2669,8 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
             raise ValueError(
                 f"max_workers={max_workers!r} has no effect on the "
                 f"default serial backend; pass a pooled backend name "
-                f"('thread', 'process', 'persistent', 'sharded') or drop "
-                f"the argument")
+                f"('thread', 'persistent', 'sharded') or drop the "
+                f"argument")
         backend: ExecutionBackend = SerialBackend()
     elif isinstance(spec, str):
         try:
@@ -2963,7 +2691,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 wire_compression=wire_compression or "none",
                 delta_shipping=(delta_shipping
                                 if delta_shipping is not None else True),
-                fusion=fusion or "off",
                 retry_policy=retry_policy)
         elif factory is PersistentProcessBackend:
             backend = PersistentProcessBackend(
@@ -2972,8 +2699,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 wire_compression=wire_compression or "none",
                 delta_shipping=(delta_shipping
                                 if delta_shipping is not None else True),
-                weight_arena=weight_arena or "off",
-                fusion=fusion or "off",
                 retry_policy=retry_policy)
         else:
             backend = factory(max_workers=max_workers)

@@ -355,15 +355,14 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
         "wire_compression": backend_spec.pop("wire_compression", None),
         "delta_shipping": backend_spec.pop("delta_shipping", None),
         "aggregation": backend_spec.pop("aggregation", None),
-        "fusion": backend_spec.pop("fusion", None),
         "retry_policy": backend_spec.pop("retry", None),
         "connect_timeout": backend_spec.pop("connect_timeout", None),
     }
     _reject_unknown(backend_spec, "backend",
                     ("name", "workers", "shards", "on_failure",
                      "heartbeat_interval", "wire_compression",
-                     "delta_shipping", "aggregation", "fusion",
-                     "retry", "connect_timeout"))
+                     "delta_shipping", "aggregation", "retry",
+                     "connect_timeout"))
     if backend_override is not None:
         # The serial reference run keeps the fleet and strategy but
         # drops every resident-backend knob along with the backend.

@@ -229,8 +229,6 @@ class FederatedSimulation:
                     wire_compression: Optional[str] = None,
                     delta_shipping: Optional[bool] = None,
                     aggregation: Optional[str] = None,
-                    weight_arena: Optional[str] = None,
-                    fusion: Optional[str] = None,
                     retry_policy=None,
                     connect_timeout: Optional[float] = None
                     ) -> ExecutionBackend:
@@ -263,11 +261,6 @@ class FederatedSimulation:
         used by :meth:`train_and_aggregate` and
         :meth:`run_virtual_cycle` — see
         :func:`~repro.fl.executor.make_backend`.
-        ``weight_arena`` (``"off"``/``"shm"``, ``"persistent"`` backend
-        only) dispatches weights through shared-memory arenas, and
-        ``fusion`` (``"off"``/``"stacked"``, worker-resident backends
-        only) trains topology-homogeneous clients as one batched-GEMM
-        pass — both bit-identical to serial.
         """
         new_backend = make_backend(backend, max_workers=max_workers,
                                    shards=shards,
@@ -276,8 +269,6 @@ class FederatedSimulation:
                                    wire_compression=wire_compression,
                                    delta_shipping=delta_shipping,
                                    aggregation=aggregation,
-                                   weight_arena=weight_arena,
-                                   fusion=fusion,
                                    retry_policy=retry_policy,
                                    connect_timeout=connect_timeout)
         if new_backend is self.backend:

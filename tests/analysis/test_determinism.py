@@ -168,8 +168,8 @@ class TestScope:
         assert findings == []
 
     @pytest.mark.parametrize("name", [
-        "executor.py", "fusion.py", "aggregation.py", "codec.py",
-        "arena.py",
+        "executor.py", "aggregation.py", "codec.py", "chaos.py",
+        "scenario.py",
     ])
     def test_every_critical_module_is_in_scope(self, lint, name):
         findings = lint({name: """

@@ -99,6 +99,18 @@ class TestFrameFormat:
         with pytest.raises(CodecError, match="version"):
             decode_message(bytes(blob))
 
+    @pytest.mark.parametrize("flags", [0x02, 0x03, 0x04, 0x80])
+    def test_unknown_segment_flags_raise(self, flags):
+        """Only raw (0) and compressed (1) segments decode; any other
+        flag value, the retired 0x02 included, is a malformed frame."""
+        frame = encode_message(("reply", {"w": np.arange(8.0)}))
+        blob = bytearray(frame.tobytes())
+        # Header (8 bytes), then 5-byte (u32 length, u8 flags) entries;
+        # patch the flag byte of segment 1, the ndarray buffer.
+        blob[8 + 5 + 4] = flags
+        with pytest.raises(CodecError, match="segment flags"):
+            decode_message(bytes(blob))
+
     def test_unknown_compression_rejected_at_encode(self):
         with pytest.raises(ValueError, match="compression"):
             encode_message(("ping", None), compression="lzma")

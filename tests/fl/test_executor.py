@@ -12,15 +12,14 @@ from repro.baselines import SynchronousFLStrategy
 from repro.core import HeliosConfig, HeliosStrategy
 from repro.core.straggler import StragglerIdentifier
 from repro.fl import (ExecutionBackend, PersistentProcessBackend,
-                      ProcessPoolBackend, SerialBackend,
-                      ShardedSocketBackend, ThreadPoolBackend, TrainingJob,
-                      available_backends, make_backend)
+                      SerialBackend, ShardedSocketBackend, ThreadPoolBackend,
+                      TrainingJob, available_backends, make_backend)
 
 from ..conftest import (FAST_DEVICE, SLOW_DEVICE, make_tiny_model,
                         make_tiny_simulation)
 
-BACKENDS = ("serial", "thread", "process", "persistent", "sharded")
-CONCURRENT_BACKENDS = ("thread", "process", "persistent", "sharded")
+BACKENDS = ("serial", "thread", "persistent", "sharded")
+CONCURRENT_BACKENDS = ("thread", "persistent", "sharded")
 #: Backends keeping worker-resident client replicas (spec shipped once).
 RESIDENT_BACKENDS = ("persistent", "sharded")
 
@@ -49,8 +48,8 @@ def _run_collaboration(backend_name, strategy_factory, num_cycles=3):
 
 class TestBackendFactory:
     def test_available_backends(self):
-        assert set(available_backends()) == {"serial", "thread", "process",
-                                             "persistent", "sharded"}
+        assert available_backends() == ("persistent", "serial", "sharded",
+                                        "thread")
 
     def test_none_means_serial(self):
         assert isinstance(make_backend(None), SerialBackend)
@@ -58,7 +57,6 @@ class TestBackendFactory:
     @pytest.mark.parametrize("name,cls", [
         ("serial", SerialBackend),
         ("thread", ThreadPoolBackend),
-        ("process", ProcessPoolBackend),
         ("persistent", PersistentProcessBackend),
         ("sharded", ShardedSocketBackend),
     ])
@@ -88,7 +86,7 @@ class TestBackendFactory:
         with pytest.raises(TypeError):
             make_backend(42)
 
-    @pytest.mark.parametrize("cls", [ThreadPoolBackend, ProcessPoolBackend,
+    @pytest.mark.parametrize("cls", [ThreadPoolBackend,
                                      PersistentProcessBackend,
                                      ShardedSocketBackend])
     def test_invalid_worker_count_rejected(self, cls):
@@ -119,6 +117,10 @@ class TestBackendFactory:
         SerialBackend and dropped the worker count."""
         with pytest.raises(ValueError, match="max_workers"):
             make_backend(None, max_workers=4)
+        # An explicit "serial" accepts the count, so one worker count can
+        # be swept across backend names.
+        assert isinstance(make_backend("serial", max_workers=4),
+                          SerialBackend)
 
     def test_failure_policy_constructed(self):
         for name in ("sharded", "persistent"):
@@ -136,7 +138,7 @@ class TestBackendFactory:
             PersistentProcessBackend(on_failure="retry-forever")
 
     def test_failure_policy_only_for_resident_backends(self):
-        for spec in (None, "serial", "thread", "process"):
+        for spec in (None, "serial", "thread"):
             with pytest.raises(ValueError, match="worker-resident"):
                 make_backend(spec, on_shard_failure="rebalance")
         backend = SerialBackend()
@@ -211,7 +213,7 @@ class TestOrdering:
 
 
 class TestEquivalence:
-    """Thread/process histories are bit-identical to serial ones."""
+    """Pooled and worker-resident histories are bit-identical to serial."""
 
     @pytest.mark.parametrize("backend_name", CONCURRENT_BACKENDS)
     def test_sync_fl_history_bit_identical(self, backend_name):
@@ -416,7 +418,7 @@ class TestSimulationBackendSelection:
 class TestBackendLifecycle:
     """Lazy pool creation, close idempotency, and re-use after close."""
 
-    @pytest.mark.parametrize("cls", [ThreadPoolBackend, ProcessPoolBackend])
+    @pytest.mark.parametrize("cls", [ThreadPoolBackend])
     def test_pool_created_lazily(self, cls):
         backend = cls(max_workers=1)
         assert backend._pool is None
@@ -602,25 +604,23 @@ class TestPersistentResidency:
             jobs = [TrainingJob(index=index, weights=weights)
                     for index in sim.client_indices()]
             try:
+                cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
                 sim.run_jobs(jobs)
-                persistent = sim.backend.dispatch_payload_bytes(
-                    sim.clients, jobs)
-                process = ProcessPoolBackend().dispatch_payload_bytes(
-                    sim.clients, jobs)
+                warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
             finally:
                 sim.close()
-            return persistent, process
+            return warm, cold
 
-        small_persistent, small_process = warm_payload(20)
-        large_persistent, large_process = warm_payload(200)
+        small_warm, small_cold = warm_payload(20)
+        large_warm, large_cold = warm_payload(200)
         # Warm persistent dispatch does not grow with the dataset (the
         # RNG digests' integer values pickle to ±a few bytes) …
-        assert abs(large_persistent - small_persistent) \
-            <= 0.01 * small_persistent
-        # … while whole-client pickling does, and is strictly larger.
-        assert large_process > small_process
-        assert small_persistent < small_process
-        assert large_persistent < large_process
+        assert abs(large_warm - small_warm) <= 0.01 * small_warm
+        # … while the cold dispatch, which ships the specs (datasets
+        # included), does, and is strictly larger.
+        assert large_cold > small_cold
+        assert small_warm < small_cold
+        assert large_warm < large_cold
 
     @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_invalidate_client_reships_spec(self, backend_name):
@@ -827,7 +827,7 @@ class TestWireCodecOnPipes:
         with pytest.raises(ValueError, match="wire_compression"):
             make_backend("thread", wire_compression="zlib")
         with pytest.raises(ValueError, match="delta_shipping"):
-            make_backend("process", delta_shipping=False)
+            make_backend("serial", delta_shipping=False)
         with pytest.raises(ValueError, match="wire codec"):
             make_backend(PersistentProcessBackend(max_workers=1),
                          wire_compression="zlib")

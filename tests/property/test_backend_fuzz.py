@@ -5,7 +5,7 @@ fleet mutations (``add_client``, ``set_client_device``, client-config
 changes) and replays the identical script on every execution backend.
 The property under test is the substrate's trust anchor: *any* sequence
 of cycles and mutations produces bit-identical losses, client RNG
-streams and model weights on serial, thread, process, persistent and
+streams and model weights on serial, thread, persistent and
 sharded backends.
 
 The scripts are deterministic functions of their seed, so a failure
@@ -27,21 +27,15 @@ from ..fl.test_multitenant import _shard_fleet
 FUZZ_SEEDS = (0, 1, 2)
 #: Backend configurations replayed against the serial reference: every
 #: non-serial backend, plus the worker-resident backends under each wire
-#: codec variant (delta + zlib compression, and delta disabled), the
-#: persistent backend's shared-memory arena dispatch, and the stacked
-#: fusion engine — none of these knobs may be visible in the numerics.
+#: codec variant (delta + zlib compression, and delta disabled) — none
+#: of these knobs may be visible in the numerics.
 BACKENDS_UNDER_TEST = (
     ("thread", {}),
-    ("process", {}),
     ("persistent", {}),
     ("sharded", {}),
     ("persistent", {"wire_compression": "zlib"}),
     ("sharded", {"wire_compression": "zlib"}),
     ("persistent", {"delta_shipping": False}),
-    ("persistent", {"weight_arena": "shm"}),
-    ("persistent", {"fusion": "stacked"}),
-    ("persistent", {"weight_arena": "shm", "fusion": "stacked"}),
-    ("sharded", {"fusion": "stacked"}),
 )
 
 BACKEND_IDS = [name if not kwargs else
@@ -153,13 +147,9 @@ def test_random_interleavings_bit_identical_to_serial(seed, backend_config):
 AGGREGATION_BACKENDS = (
     ("serial", {}),
     ("thread", {}),
-    ("process", {}),
     ("persistent", {}),
     ("sharded", {}),
     ("persistent", {"wire_compression": "zlib"}),
-    # Masked hierarchical folding on top of arena dispatch + stacked
-    # fusion: masks must gate the fused GEMM exactly like serial.
-    ("persistent", {"weight_arena": "shm", "fusion": "stacked"}),
 )
 
 AGGREGATION_IDS = [name if not kwargs else

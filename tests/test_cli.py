@@ -277,55 +277,3 @@ class TestWireCodecFlags:
                      "--backend", "persistent", "--workers", "2",
                      "--wire-compression", "zlib"]) == 0
         assert "cycle" in capsys.readouterr().out.lower()
-
-
-class TestArenaFusionFlags:
-    def test_run_accepts_arena_and_fusion_flags(self):
-        args = build_parser().parse_args(
-            ["run", "fig6", "--backend", "persistent", "--workers", "2",
-             "--weight-arena", "shm", "--fusion", "stacked"])
-        assert args.weight_arena == "shm"
-        assert args.fusion == "stacked"
-
-    def test_arena_and_fusion_default_off(self):
-        args = build_parser().parse_args(["run", "fig6"])
-        assert args.weight_arena is None
-        assert args.fusion is None
-
-    def test_invalid_modes_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "fig6", "--backend", "persistent",
-                 "--weight-arena", "mmap"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "fig6", "--backend", "persistent",
-                 "--fusion", "einsum"])
-
-    def test_weight_arena_rejects_sharded_backend(self, capsys):
-        """Arenas are single-host: --backend sharded must fail fast."""
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "sharded", "--workers", "2",
-                     "--weight-arena", "shm"]) == 2
-        err = capsys.readouterr().err
-        assert "--weight-arena" in err
-        assert "single-host" in err
-
-    def test_weight_arena_requires_persistent_backend(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "thread",
-                     "--weight-arena", "shm"]) == 2
-        assert "--weight-arena" in capsys.readouterr().err
-
-    def test_fusion_requires_resident_backend(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "serial",
-                     "--fusion", "stacked"]) == 2
-        assert "--fusion" in capsys.readouterr().err
-
-    def test_run_fig6_arena_fusion_smoke(self, capsys):
-        """CLI-level wiring of the arena/fusion flags end to end."""
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "persistent", "--workers", "2",
-                     "--weight-arena", "shm", "--fusion", "stacked"]) == 0
-        assert "cycle" in capsys.readouterr().out.lower()
